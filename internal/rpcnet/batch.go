@@ -8,263 +8,27 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/catfish-db/catfish/internal/exec"
 	"github.com/catfish-db/catfish/internal/geo"
 	"github.com/catfish-db/catfish/internal/replica"
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
-// batchResult buffers one operation's outcome until the batch latch is
-// released and the segmented batch response can be written. A fetch-routed
-// search that made it into a mailbox slot carries its descriptor instead
-// of items.
-type batchResult struct {
-	id      uint64
-	status  uint8
-	items   []wire.Item
-	desc    wire.FetchDesc
-	hasDesc bool
-}
+// batchFrameLimit bounds one batch response container.
+const batchFrameLimit = 16 << 10
 
-// handleBatch executes a batch container under one latch acquisition: a
-// batch carrying any write takes the exclusive latch, a read-only batch
-// shares the read latch. Results are buffered until the latch drops, then
-// written back as batch containers of response segments. The caller's
-// per-frame busy-time accounting naturally charges the whole batch once.
-func (s *Server) handleBatch(sc *srvConn, payload []byte) error {
-	it, err := wire.DecodeBatch(payload)
-	if err != nil {
-		return sc.send(wire.Response{Status: wire.StatusError, Final: true}.Encode(nil))
-	}
-	reqs := make([]wire.Request, 0, it.Len())
-	hasWrite := false
-	for {
-		msg, ok := it.Next()
-		if !ok {
-			break
-		}
-		req, err := wire.DecodeRequest(msg)
-		if err != nil {
-			req = wire.Request{} // answered with an error response below
-		} else if req.Type != wire.MsgSearch && req.Type != wire.MsgSearchFetch &&
-			req.Type != wire.MsgKNN && req.Type != wire.MsgKNNFetch {
-			hasWrite = true
-		}
-		reqs = append(reqs, req)
-	}
-	if it.Err() != nil {
-		return sc.send(wire.Response{Status: wire.StatusError, Final: true}.Encode(nil))
-	}
+// serveBatch executes a batch container's requests under one latch hold
+// and writes the results back as batch containers. The dispatcher's
+// per-task busy-time accounting charges the whole batch once.
+func (s *Server) serveBatch(sc *srvConn, reqs []wire.Request) error {
+	var res []exec.Result
 	if s.cfg.MaxBatch > 0 && len(reqs) > s.cfg.MaxBatch {
 		// Answer every operation ID so the client's collector terminates.
-		res := make([]batchResult, 0, len(reqs))
-		for _, req := range reqs {
-			res = append(res, batchResult{id: req.ID, status: wire.StatusError})
-		}
-		return s.respondBatch(sc, res)
-	}
-	if len(reqs) == 0 {
-		return nil
-	}
-	if s.killed.Load() {
-		res := make([]batchResult, 0, len(reqs))
-		for _, req := range reqs {
-			res = append(res, batchResult{id: req.ID, status: wire.StatusUnavailable})
-		}
-		return s.respondBatch(sc, res)
-	}
-	s.batches.Add(1)
-	s.batchedOps.Add(uint64(len(reqs)))
-
-	if hasWrite {
-		s.latch.Lock()
+		res = exec.Answer(reqs, wire.StatusError, nil)
 	} else {
-		s.latch.RLock()
+		res, _ = s.ex.DoBatch(struct{}{}, reqs, nil)
 	}
-	res := make([]batchResult, 0, len(reqs))
-	for _, req := range reqs {
-		out := batchResult{id: req.ID, status: wire.StatusError}
-		switch req.Type {
-		case wire.MsgSearch:
-			s.searches.Add(1)
-			var items []wire.Item
-			_, err := s.tree.SearchShared(req.Rect, func(r geo.Rect, ref uint64) bool {
-				items = append(items, wire.Item{Rect: r, Ref: ref})
-				return true
-			})
-			if err == nil {
-				out.status = wire.StatusOK
-				out.items = items
-			}
-		case wire.MsgSearchFetch:
-			s.fetchSearches.Add(1)
-			var items []wire.Item
-			_, err := s.tree.SearchShared(req.Rect, func(r geo.Rect, ref uint64) bool {
-				items = append(items, wire.Item{Rect: r, Ref: ref})
-				return true
-			})
-			if err == nil {
-				out.status = wire.StatusOK
-				if desc, ok := s.tryMailboxDeliver(req.ID, items); ok {
-					s.fetchBytes.Add(uint64(desc.Bytes))
-					out.desc = desc
-					out.hasDesc = true
-				} else {
-					s.fetchInline.Add(1)
-					out.items = items
-				}
-			}
-		case wire.MsgKNN:
-			s.knns.Add(1)
-			x, y := req.Rect.Center()
-			nbrs, _, err := s.tree.NearestShared(int(req.Ref), x, y)
-			if err == nil {
-				out.status = wire.StatusOK
-				out.items = itemsOfNeighbors(nbrs)
-			}
-		case wire.MsgKNNFetch:
-			s.knns.Add(1)
-			x, y := req.Rect.Center()
-			nbrs, _, err := s.tree.NearestShared(int(req.Ref), x, y)
-			if err == nil {
-				out.status = wire.StatusOK
-				items := itemsOfNeighbors(nbrs)
-				if desc, ok := s.tryMailboxDeliver(req.ID, items); ok {
-					s.fetchBytes.Add(uint64(desc.Bytes))
-					out.desc = desc
-					out.hasDesc = true
-				} else {
-					s.fetchInline.Add(1)
-					out.items = items
-				}
-			}
-		case wire.MsgMove:
-			s.moves.Add(1)
-			if s.repl != nil && !s.repl.Primary() {
-				out.status = wire.StatusNotPrimary
-			} else {
-				out.status = s.moveLocked(req)
-			}
-		case wire.MsgInsert:
-			s.inserts.Add(1)
-			switch {
-			case s.repl != nil && !s.repl.Primary():
-				out.status = wire.StatusNotPrimary
-			default:
-				if _, err := s.tree.Insert(req.Rect, req.Ref); err == nil {
-					out.status = wire.StatusOK
-					if s.repl != nil {
-						if rerr := s.replicate(wire.MsgInsert, req.Rect, req.Ref); rerr != nil {
-							out.status = replStatus(rerr)
-						}
-					}
-				}
-				if out.status == wire.StatusOK {
-					if ferr := s.forwardSplit(wire.MsgInsert, req.Rect, req.Ref); ferr != nil {
-						out.status = wire.StatusError
-					}
-				}
-			}
-		case wire.MsgDelete:
-			s.deletes.Add(1)
-			switch {
-			case s.repl != nil && !s.repl.Primary():
-				out.status = wire.StatusNotPrimary
-			default:
-				ok, _, err := s.tree.Delete(req.Rect, req.Ref)
-				switch {
-				case err != nil:
-				case !ok:
-					out.status = wire.StatusNotFound
-				default:
-					out.status = wire.StatusOK
-					if s.repl != nil {
-						if rerr := s.replicate(wire.MsgDelete, req.Rect, req.Ref); rerr != nil {
-							out.status = replStatus(rerr)
-						}
-					}
-				}
-				if out.status == wire.StatusOK {
-					if ferr := s.forwardSplit(wire.MsgDelete, req.Rect, req.Ref); ferr != nil {
-						out.status = wire.StatusError
-					}
-				}
-			}
-		}
-		res = append(res, out)
-	}
-	if hasWrite {
-		s.latch.Unlock()
-	} else {
-		s.latch.RUnlock()
-	}
-	return s.respondBatch(sc, res)
-}
-
-// respondBatch writes buffered batch results back as batch containers of
-// response segments, flushing below a 16 KB frame budget. Each operation
-// keeps its own CONT/END segmentation inside the containers.
-func (s *Server) respondBatch(sc *srvConn, res []batchResult) error {
-	const limit = 16 << 10
-	maxItems := s.cfg.MaxSegmentItems
-	hdr := wire.Response{}.EncodedSize()
-	if fit := (limit - wire.BatchOverhead(1) - hdr) / wire.ItemSize; fit < maxItems {
-		maxItems = fit
-	}
-	if maxItems < 1 {
-		maxItems = 1
-	}
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	var enc wire.BatchEncoder
-	enc.Reset((*buf)[:0])
-	flush := func() error {
-		if enc.Count() == 0 {
-			return nil
-		}
-		err := sc.send(enc.Bytes())
-		*buf = enc.Buf[:0]
-		enc.Reset(*buf)
-		return err
-	}
-	for _, r := range res {
-		if r.hasDesc {
-			if enc.Count() > 0 && enc.Len()+wire.FetchDescSize+wire.BatchOverhead(1) > limit {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-			enc.Begin()
-			enc.Buf = r.desc.Encode(enc.Buf)
-			enc.End()
-			continue
-		}
-		items := r.items
-		for {
-			seg := wire.Response{ID: r.id, Status: r.status}
-			if len(items) > maxItems {
-				seg.Items = items[:maxItems]
-				items = items[maxItems:]
-			} else {
-				seg.Items = items
-				items = nil
-				seg.Final = true
-			}
-			if enc.Count() > 0 && enc.Len()+seg.EncodedSize()+wire.BatchOverhead(1) > limit {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-			enc.Begin()
-			enc.Buf = seg.Encode(enc.Buf)
-			enc.End()
-			if seg.Final {
-				break
-			}
-		}
-	}
-	err := flush()
-	*buf = enc.Buf
-	return err
+	return s.ex.WriteBatch(res, batchFrameLimit, sc.send)
 }
 
 // BatchOp is one operation submitted through ExecBatch.

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/catfish-db/catfish/internal/exec"
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
@@ -32,13 +33,14 @@ const defaultDispatchQueue = 1024
 // deadline-carrying task.
 const noDeadline = math.MaxInt64
 
-// dispTask is one queued request frame awaiting a worker.
+// dispTask is one decoded request, or batch container, awaiting a worker.
 type dispTask struct {
 	sc       *srvConn
-	typ      wire.MsgType
-	frame    []byte // owned copy of the request frame
-	seq      uint64 // submission order; tie-break for equal deadlines
-	deadline int64  // absolute UnixNano, noDeadline when unset
+	batch    bool
+	req      wire.Request   // the request of a single-request task
+	reqs     []wire.Request // the requests of a batch container
+	seq      uint64         // submission order; tie-break for equal deadlines
+	deadline int64          // absolute UnixNano, noDeadline when unset
 }
 
 type dispatcher struct {
@@ -80,17 +82,24 @@ func (d *dispatcher) depth() int {
 	return n
 }
 
-// submit queues one request frame for execution. The frame is copied, so
-// the caller may reuse its buffer. When the queue is full an armed
-// admission controller sheds the incoming task with StatusOverloaded;
-// otherwise the caller blocks until a slot frees (backpressure).
+// submit decodes one request frame, or batch container, and queues it for
+// execution; the caller may reuse the frame. A malformed request is a
+// protocol violation (the error closes the connection); a malformed
+// container is answered with an error response. When the queue is full an
+// armed admission controller sheds the incoming task with
+// StatusOverloaded; otherwise the caller blocks until a slot frees
+// (backpressure).
 func (d *dispatcher) submit(sc *srvConn, typ wire.MsgType, frame []byte) error {
-	t := dispTask{
-		sc:       sc,
-		typ:      typ,
-		frame:    append([]byte(nil), frame...),
-		deadline: frameDeadline(typ, frame),
+	t := dispTask{sc: sc, batch: typ == wire.MsgBatch}
+	var err error
+	if t.batch {
+		if t.reqs, err = exec.DecodeBatch(frame, nil); err != nil {
+			return d.s.ex.WriteResult(&exec.Result{Status: wire.StatusError}, sc.send)
+		}
+	} else if t.req, err = wire.DecodeRequest(frame); err != nil {
+		return err
 	}
+	t.deadline = taskDeadline(&t)
 	d.mu.Lock()
 	for len(d.heap) >= d.max && !d.closed {
 		if d.s.admissionArmed() {
@@ -152,72 +161,32 @@ func (d *dispatcher) worker() {
 }
 
 func (d *dispatcher) exec(t dispTask) error {
-	if t.typ == wire.MsgBatch {
-		return d.s.handleBatch(t.sc, t.frame)
+	if t.batch {
+		return d.s.serveBatch(t.sc, t.reqs)
 	}
-	req, err := wire.DecodeRequest(t.frame)
-	if err != nil {
-		return err
-	}
-	return d.s.handleRequest(t.sc, req)
+	return d.s.serveRequest(t.sc, t.req)
 }
 
 // shed answers every operation in the task with StatusOverloaded without
 // executing anything.
 func (d *dispatcher) shed(t dispTask) error {
 	s := d.s
-	if t.typ == wire.MsgBatch {
-		it, err := wire.DecodeBatch(t.frame)
-		if err != nil {
-			return t.sc.send(wire.Response{Status: wire.StatusError, Final: true}.Encode(nil))
-		}
-		res := make([]batchResult, 0, it.Len())
-		for {
-			msg, ok := it.Next()
-			if !ok {
-				break
-			}
-			req, err := wire.DecodeRequest(msg)
-			if err != nil {
-				req = wire.Request{}
-			}
-			res = append(res, batchResult{id: req.ID, status: wire.StatusOverloaded})
-		}
-		s.overloaded.Add(uint64(len(res)))
-		return s.respondBatch(t.sc, res)
-	}
-	req, err := wire.DecodeRequest(t.frame)
-	if err != nil {
-		return err
+	if t.batch {
+		s.overloaded.Add(uint64(len(t.reqs)))
+		return s.ex.WriteBatch(exec.Answer(t.reqs, wire.StatusOverloaded, nil), batchFrameLimit, t.sc.send)
 	}
 	s.overloaded.Add(1)
-	return t.sc.send(wire.Response{ID: req.ID, Status: wire.StatusOverloaded, Final: true}.Encode(nil))
+	return s.ex.WriteResult(&exec.Result{ID: t.req.ID, Status: wire.StatusOverloaded}, t.sc.send)
 }
 
-// frameDeadline extracts the earliest absolute deadline carried by the
-// frame (the minimum across a batch's operations), or noDeadline.
-func frameDeadline(typ wire.MsgType, frame []byte) int64 {
-	minUS := uint32(0)
-	if typ == wire.MsgBatch {
-		it, err := wire.DecodeBatch(frame)
-		if err != nil {
-			return noDeadline
+// taskDeadline returns the earliest absolute deadline the task's requests
+// carry (the minimum across a batch's operations), or noDeadline.
+func taskDeadline(t *dispTask) int64 {
+	minUS := t.req.DeadlineUS
+	for i := range t.reqs {
+		if us := t.reqs[i].DeadlineUS; us != 0 && (minUS == 0 || us < minUS) {
+			minUS = us
 		}
-		for {
-			msg, ok := it.Next()
-			if !ok {
-				break
-			}
-			req, err := wire.DecodeRequest(msg)
-			if err != nil || req.DeadlineUS == 0 {
-				continue
-			}
-			if minUS == 0 || req.DeadlineUS < minUS {
-				minUS = req.DeadlineUS
-			}
-		}
-	} else if req, err := wire.DecodeRequest(frame); err == nil {
-		minUS = req.DeadlineUS
 	}
 	if minUS == 0 {
 		return noDeadline

@@ -36,6 +36,7 @@ import (
 	"net"
 	"time"
 
+	"github.com/catfish-db/catfish/internal/exec"
 	"github.com/catfish-db/catfish/internal/geo"
 	"github.com/catfish-db/catfish/internal/replica"
 	"github.com/catfish-db/catfish/internal/rtree"
@@ -111,18 +112,13 @@ func (s *Server) closeReplSessions() {
 	}
 }
 
-// replicate stamps one applied mutation, appends it to the op-log, and
-// streams it to every live backup. The caller holds the exclusive tree
-// latch, so sequence order matches apply order and the client's
-// acknowledgement cannot outrun the backups. A fenced stream (a backup was
-// promoted above us) is the only error surfaced: the deposed primary must
-// fail the client write.
-func (s *Server) replicate(op wire.MsgType, rect geo.Rect, ref uint64) error {
-	epoch, seq, err := s.repl.Next()
-	if err != nil {
-		return err
-	}
-	rec := replica.Record{Epoch: epoch, Seq: seq, Op: op, Rect: rect, Ref: ref}
+// replicate is the executor's Ship hook: it appends one stamped mutation
+// to the op-log and streams it to every live backup. The caller holds the
+// exclusive tree latch, so sequence order matches apply order and the
+// client's acknowledgement cannot outrun the backups. A fenced stream (a
+// backup was promoted above us) is the only error surfaced: the deposed
+// primary must fail the client write.
+func (s *Server) replicate(_ struct{}, rec replica.Record) error {
 	s.rlog.Append(rec)
 	return s.ship([]replica.Record{rec})
 }
@@ -144,10 +140,7 @@ func (s *Server) ship(recs []replica.Record) error {
 			s.replSpanCh.Add(uint64(sp.Count))
 		}
 	}
-	wr := make([]wire.ReplRecord, len(recs))
-	for i, r := range recs {
-		wr[i] = r.Wire()
-	}
+	wr := wireRecords(recs)
 	var fenced error
 	for _, sess := range s.replSess {
 		if sess.dead {
@@ -170,42 +163,37 @@ func (s *Server) ship(recs []replica.Record) error {
 // second gap marks the session dead — the backup is wedged).
 func (s *Server) shipTo(sess *replSess, wr []wire.ReplRecord, lastSeq uint64) error {
 	ack, err := s.replExchange(sess, wire.Replicate{ID: lastSeq, Records: wr})
-	if err != nil {
-		return err
-	}
-	switch ack.Status {
-	case wire.StatusOK:
-		sess.acked = ack.AppliedSeq
-		s.replShipped.Add(uint64(len(wr)))
-		return nil
-	case wire.StatusFenced:
-		s.repl.Fence(ack.Epoch)
-		return fmt.Errorf("%w: backup %s at epoch %d", replica.ErrFenced, sess.addr, ack.Epoch)
-	case wire.StatusError:
-		s.replResends.Add(1)
-		missing := s.rlog.Since(ack.AppliedSeq)
-		mw := make([]wire.ReplRecord, len(missing))
-		for i, r := range missing {
-			mw[i] = r.Wire()
-		}
-		ack, err = s.replExchange(sess, wire.Replicate{ID: lastSeq, Records: mw})
-		if err != nil {
-			return err
-		}
+	for resent := false; err == nil; resent = true {
 		switch ack.Status {
 		case wire.StatusOK:
 			sess.acked = ack.AppliedSeq
-			s.replShipped.Add(uint64(len(mw)))
+			s.replShipped.Add(uint64(len(wr)))
 			return nil
 		case wire.StatusFenced:
 			s.repl.Fence(ack.Epoch)
 			return fmt.Errorf("%w: backup %s at epoch %d", replica.ErrFenced, sess.addr, ack.Epoch)
+		case wire.StatusError:
+			if resent {
+				return fmt.Errorf("rpcnet: backup %s stuck at seq %d after resend", sess.addr, ack.AppliedSeq)
+			}
+			s.replResends.Add(1)
+			wr = wireRecords(s.rlog.Since(ack.AppliedSeq))
+			ack, err = s.replExchange(sess, wire.Replicate{ID: lastSeq, Records: wr})
+		case wire.StatusUnavailable:
+			return fmt.Errorf("rpcnet: backup %s unavailable", sess.addr)
+		default:
+			return fmt.Errorf("rpcnet: unexpected repl ack status %d from %s", ack.Status, sess.addr)
 		}
-		return fmt.Errorf("rpcnet: backup %s stuck at seq %d after resend", sess.addr, ack.AppliedSeq)
-	case wire.StatusUnavailable:
-		return fmt.Errorf("rpcnet: backup %s unavailable", sess.addr)
 	}
-	return fmt.Errorf("rpcnet: unexpected repl ack status %d from %s", ack.Status, sess.addr)
+	return err
+}
+
+func wireRecords(recs []replica.Record) []wire.ReplRecord {
+	wr := make([]wire.ReplRecord, len(recs))
+	for i, r := range recs {
+		wr[i] = r.Wire()
+	}
+	return wr
 }
 
 // replExchange performs one replicate→ack round trip on a session,
@@ -261,20 +249,6 @@ func (s *Server) replLag() float64 {
 	return float64(last - min)
 }
 
-// replStatus maps a replication-path error to the wire status the client
-// decodes back into the same replica sentinel.
-func replStatus(err error) uint8 {
-	switch {
-	case errors.Is(err, replica.ErrNotPrimary):
-		return wire.StatusNotPrimary
-	case errors.Is(err, replica.ErrFenced):
-		return wire.StatusFenced
-	case errors.Is(err, replica.ErrUnavailable):
-		return wire.StatusUnavailable
-	}
-	return wire.StatusError
-}
-
 // handleReplicate applies an incoming record batch on a backup and answers
 // with the backup's (epoch, applied) so the primary can detect fencing and
 // resume across gaps. Records at or below the applied sequence (resend
@@ -284,49 +258,18 @@ func (s *Server) handleReplicate(sc *srvConn, frame []byte) error {
 	if err != nil {
 		return err
 	}
+	recs := make([]replica.Record, len(msg.Records))
+	for i, wr := range msg.Records {
+		recs[i] = replica.FromWire(wr)
+	}
 	ack := wire.ReplAck{ID: msg.ID, Status: wire.StatusOK}
-	if s.repl == nil {
-		ack.Status = wire.StatusError
-		return sc.send(ack.Encode(nil))
+	if err := s.ex.ApplyRecords(struct{}{}, recs); err != nil {
+		// A gap answers StatusError: the primary resends from AppliedSeq.
+		ack.Status = exec.StatusOf(err)
 	}
-	if s.killed.Load() {
-		ack.Status = wire.StatusUnavailable
+	if s.repl != nil {
 		ack.Epoch, ack.AppliedSeq = s.repl.Snapshot()
-		return sc.send(ack.Encode(nil))
 	}
-	s.latch.Lock()
-	for _, wr := range msg.Records {
-		if aerr := s.repl.Accept(wr.Epoch, wr.Seq); aerr != nil {
-			var gap *replica.GapError
-			if errors.As(aerr, &gap) && gap.Got <= gap.Applied {
-				continue // duplicate from a resend overlap
-			}
-			if errors.Is(aerr, replica.ErrFenced) {
-				ack.Status = wire.StatusFenced
-			} else {
-				ack.Status = wire.StatusError // gap: primary resends from AppliedSeq
-			}
-			break
-		}
-		rec := replica.FromWire(wr)
-		var aerr error
-		switch rec.Op {
-		case wire.MsgInsert:
-			_, aerr = s.tree.Insert(rec.Rect, rec.Ref)
-		case wire.MsgDelete:
-			_, _, aerr = s.tree.Delete(rec.Rect, rec.Ref)
-		default:
-			aerr = fmt.Errorf("rpcnet: replicated op %d", rec.Op)
-		}
-		if aerr != nil {
-			ack.Status = wire.StatusError
-			break
-		}
-		s.rlog.Append(rec)
-		s.replRecords.Add(1)
-	}
-	s.latch.Unlock()
-	ack.Epoch, ack.AppliedSeq = s.repl.Snapshot()
 	return sc.send(ack.Encode(nil))
 }
 
@@ -371,7 +314,7 @@ func (s *Server) PrepareReshard(newAddr string) (*shard.Map, error) {
 	if len(sm.addrs) != sm.m.K() {
 		return nil, errors.New("rpcnet: reshard needs the shard address table")
 	}
-	if s.killed.Load() {
+	if s.ex.Killed() {
 		return nil, replica.ErrUnavailable
 	}
 	if s.split.Load() != nil {
@@ -381,8 +324,8 @@ func (s *Server) PrepareReshard(newAddr string) (*shard.Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.latch.Lock()
-	defer s.latch.Unlock()
+	s.latch.mu.Lock()
+	defer s.latch.mu.Unlock()
 	var entries []rtree.Entry
 	if _, err := s.tree.SearchShared(everything, func(r geo.Rect, ref uint64) bool {
 		entries = append(entries, rtree.Entry{Rect: r, Ref: ref})
@@ -485,7 +428,7 @@ func (s *Server) DrainSplit() error {
 	if sp == nil {
 		return nil
 	}
-	s.latch.Lock()
+	s.latch.mu.Lock()
 	var doomed []rtree.Entry
 	_, err := s.tree.SearchShared(everything, func(r geo.Rect, ref uint64) bool {
 		if sp.m.Owner(r) == sp.newIdx {
@@ -499,14 +442,12 @@ func (s *Server) DrainSplit() error {
 				err = derr
 				break
 			}
-			if s.repl != nil && s.repl.Primary() {
-				// Best effort: a fenced stream here means we were deposed
-				// mid-drain; the new primary re-drains from its own state.
-				_ = s.replicate(wire.MsgDelete, e.Rect, e.Ref)
-			}
+			// Best effort: a fenced stream here means we were deposed
+			// mid-drain; the new primary re-drains from its own state.
+			s.ex.Commit(struct{}{}, wire.MsgDelete, e.Rect, e.Ref)
 		}
 	}
-	s.latch.Unlock()
+	s.latch.mu.Unlock()
 	s.reshardPhase.Store(reshardIdle)
 	if cerr := sp.cli.Close(); err == nil {
 		err = cerr

@@ -84,11 +84,3 @@ func NewMuxPool(maxPerAddr int) *MuxPool {
 func Listen(addr string, tree *Tree, cfg NetServerConfig) (*NetServer, error) {
 	return rpcnet.Listen(addr, tree, cfg)
 }
-
-// Dial connects a real-network client to a Catfish server.
-//
-// Deprecated: use Connect, which unifies single-server and routed
-// construction behind functional options.
-func Dial(addr string, cfg NetClientConfig) (*NetClient, error) {
-	return rpcnet.Dial(addr, cfg)
-}
