@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/catfish-db/catfish/internal/geo"
+	"github.com/catfish-db/catfish/internal/exec"
 	"github.com/catfish-db/catfish/internal/replica"
-	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/sim"
 	"github.com/catfish-db/catfish/internal/wire"
 )
@@ -14,19 +13,10 @@ import (
 // BatchOp is one operation submitted through ExecBatch. For MsgMove, Rect
 // is the source rectangle and Rect2 the destination; for MsgKNN, Rect is
 // the query point (a degenerate rectangle) and Ref carries k.
-type BatchOp struct {
-	Type  wire.MsgType // MsgSearch, MsgInsert, MsgDelete, MsgMove or MsgKNN
-	Rect  geo.Rect
-	Ref   uint64   // insert/delete/move payload; k for MsgKNN
-	Rect2 geo.Rect // move destination
-}
+type BatchOp = wire.BatchOp
 
 // BatchResult is the outcome of one batched operation, in submission order.
-type BatchResult struct {
-	Method Method
-	Items  []wire.Item
-	Err    error
-}
+type BatchResult = wire.BatchResult
 
 // ExecBatch executes up to wire.MaxBatch operations as one client batch,
 // reusing the caller's results slice.
@@ -49,25 +39,7 @@ func (c *Client) ExecBatch(p *sim.Proc, ops []BatchOp, results []BatchResult) []
 		return results
 	}
 	if len(ops) == 1 {
-		op := ops[0]
-		switch op.Type {
-		case wire.MsgInsert:
-			results[0].Method = MethodFast
-			results[0].Err = c.Insert(p, op.Rect, op.Ref)
-		case wire.MsgDelete:
-			results[0].Method = MethodFast
-			results[0].Err = c.Delete(p, op.Rect, op.Ref)
-		case wire.MsgMove:
-			results[0].Method = MethodFast
-			results[0].Err = c.Move(p, op.Rect, op.Rect2, op.Ref)
-		case wire.MsgKNN:
-			x, y := op.Rect.Center()
-			nbrs, m, err := c.Nearest(p, int(op.Ref), x, y)
-			results[0] = BatchResult{Method: m, Items: itemsFromNeighbors(nbrs), Err: err}
-		default:
-			items, m, err := c.Search(p, op.Rect)
-			results[0] = BatchResult{Method: m, Items: items, Err: err}
-		}
+		results[0] = exec.One[*sim.Proc](c, p, ops[0])
 		return results
 	}
 
@@ -341,19 +313,6 @@ func (c *Client) collectBatch(p *sim.Proc, ops []BatchOp, results []BatchResult,
 		results[i].Items = append(results[i].Items, items...)
 		results[i].Err = err
 	}
-}
-
-// itemsFromNeighbors converts a neighbor list back to response items
-// (preserving ascending distance order) for the batched result surface.
-func itemsFromNeighbors(nbrs []rtree.Neighbor) []wire.Item {
-	if len(nbrs) == 0 {
-		return nil
-	}
-	items := make([]wire.Item, len(nbrs))
-	for i, nb := range nbrs {
-		items[i] = wire.Item{Rect: nb.Rect, Ref: nb.Ref}
-	}
-	return items
 }
 
 // opError maps a response status to the unbatched API's error for the

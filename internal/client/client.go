@@ -26,43 +26,27 @@ import (
 )
 
 // Method identifies how a search was executed.
-type Method int
+type Method = wire.Method
 
 // Search methods.
 const (
 	// MethodFast is RDMA-Write fast messaging (server executes the search).
-	MethodFast Method = iota + 1
+	MethodFast = wire.MethodFast
 	// MethodOffload is client-side traversal over RDMA Reads.
-	MethodOffload
+	MethodOffload = wire.MethodOffload
 	// MethodTCP is the kernel-TCP baseline path.
-	MethodTCP
+	MethodTCP = wire.MethodTCP
 	// MethodFetch is RFP-style remote result fetching: the server executes
 	// the search and deposits the result in a mailbox slot; the client pulls
 	// it with one-sided RDMA Reads (DESIGN.md §5.10).
-	MethodFetch
+	MethodFetch = wire.MethodFetch
 )
-
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case MethodFast:
-		return "fast"
-	case MethodOffload:
-		return "offload"
-	case MethodTCP:
-		return "tcp"
-	case MethodFetch:
-		return "fetch"
-	default:
-		return fmt.Sprintf("method(%d)", int(m))
-	}
-}
 
 // Errors.
 var (
 	ErrServer   = errors.New("client: server reported an error")
 	ErrGaveUp   = errors.New("client: offloaded search exceeded retry budget")
-	ErrNotFound = errors.New("client: entry not found")
+	ErrNotFound = wire.ErrNotFound
 )
 
 // Config configures a Client.
@@ -467,6 +451,10 @@ func (c *Client) clearHeartbeat() {
 		b[i] = 0
 	}
 }
+
+// PredictedUtil returns the adaptive switch's predicted server CPU
+// utilization.
+func (c *Client) PredictedUtil() float64 { return c.sw.PredictedUtil() }
 
 // HeartbeatSeq returns the sequence number of the last heartbeat written
 // into this client's mailbox (0 before the first one). Unlike the

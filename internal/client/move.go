@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/catfish-db/catfish/internal/adaptive"
+	"github.com/catfish-db/catfish/internal/exec"
 	"github.com/catfish-db/catfish/internal/geo"
 	"github.com/catfish-db/catfish/internal/replica"
 	"github.com/catfish-db/catfish/internal/rtree"
@@ -69,7 +70,7 @@ func (c *Client) Nearest(p *sim.Proc, k int, x, y float64) ([]rtree.Neighbor, Me
 	if err != nil {
 		return nil, m, err
 	}
-	return neighborsFromItems(items, x, y), m, nil
+	return exec.NeighborsOf(items, x, y), m, nil
 }
 
 // pinServerSide maps a forced method onto one a kNN can execute: offload
@@ -144,20 +145,4 @@ func knnStatus(resp wire.Response) ([]wire.Item, error) {
 		return nil, fmt.Errorf("%w: knn status %d", ErrServer, resp.Status)
 	}
 	return resp.Items, nil
-}
-
-// neighborsFromItems rebuilds the neighbor list from response items. The
-// server sends items in ascending distance order, and DistSq is recomputed
-// here with the same geo.Rect.DistSqToPoint the tree's best-first search
-// used — rectangles round-trip bit-exactly, so the distances (and therefore
-// the whole result) match a local Nearest call exactly.
-func neighborsFromItems(items []wire.Item, x, y float64) []rtree.Neighbor {
-	if len(items) == 0 {
-		return nil
-	}
-	out := make([]rtree.Neighbor, len(items))
-	for i, it := range items {
-		out[i] = rtree.Neighbor{Rect: it.Rect, Ref: it.Ref, DistSq: it.Rect.DistSqToPoint(x, y)}
-	}
-	return out
 }

@@ -15,6 +15,11 @@
 // The type parameter P is the caller's execution context: the simulated
 // process on the simulated fabric, struct{} over real sockets. The
 // executor hands it back to the latch and to the transport hooks.
+//
+// The package also holds the client side of two request shapes, shared by
+// both transports' clients and the shard router: the kNN answer's
+// conversion between tree and wire form, and One, which runs a batched
+// operation through an unbatched API.
 package exec
 
 import (
@@ -384,11 +389,7 @@ func (e *Executor[P]) nearest(req *wire.Request) ([]wire.Item, rtree.OpStats, er
 	if err != nil {
 		return nil, st, err
 	}
-	items := make([]wire.Item, len(nbrs))
-	for i, n := range nbrs {
-		items[i] = wire.Item{Rect: n.Rect, Ref: n.Ref}
-	}
-	return items, st, nil
+	return ItemsOf(nbrs), st, nil
 }
 
 // deliver writes a fetch read's items into a granted mailbox slot and sets

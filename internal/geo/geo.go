@@ -37,6 +37,12 @@ func PointRect(x, y float64) Rect {
 	return Rect{MinX: x, MaxX: x, MinY: y, MaxY: y}
 }
 
+// Plane returns the rectangle covering the entire plane.
+func Plane() Rect {
+	inf := math.Inf(1)
+	return Rect{MinX: -inf, MaxX: inf, MinY: -inf, MaxY: inf}
+}
+
 // Valid reports whether r has non-inverted coordinates and no NaNs.
 func (r Rect) Valid() bool {
 	if math.IsNaN(r.MinX) || math.IsNaN(r.MaxX) || math.IsNaN(r.MinY) || math.IsNaN(r.MaxY) {

@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"github.com/catfish-db/catfish/internal/exec"
-	"github.com/catfish-db/catfish/internal/geo"
 	"github.com/catfish-db/catfish/internal/replica"
 	"github.com/catfish-db/catfish/internal/wire"
 )
@@ -32,20 +31,10 @@ func (s *Server) serveBatch(sc *srvConn, reqs []wire.Request) error {
 }
 
 // BatchOp is one operation submitted through ExecBatch.
-type BatchOp struct {
-	Type wire.MsgType // MsgSearch, MsgInsert, MsgDelete, MsgMove or MsgKNN
-	Rect geo.Rect     // query rect; move source; kNN query point (degenerate rect)
-	Ref  uint64       // insert/delete/move payload; k for MsgKNN
-	// Rect2 is the move destination (MsgMove only).
-	Rect2 geo.Rect
-}
+type BatchOp = wire.BatchOp
 
 // BatchResult is the outcome of one batched operation, in submission order.
-type BatchResult struct {
-	Method Method
-	Items  []wire.Item
-	Err    error
-}
+type BatchResult = wire.BatchResult
 
 // wireOp ties a messaging-group request ID back to its batch slot.
 type wireOp struct {
@@ -70,22 +59,7 @@ func (c *Client) ExecBatch(ops []BatchOp, results []BatchResult) []BatchResult {
 		return results
 	}
 	if len(ops) == 1 {
-		op := ops[0]
-		switch op.Type {
-		case wire.MsgInsert:
-			results[0] = BatchResult{Method: MethodFast, Err: c.Insert(op.Rect, op.Ref)}
-		case wire.MsgDelete:
-			results[0] = BatchResult{Method: MethodFast, Err: c.Delete(op.Rect, op.Ref)}
-		case wire.MsgMove:
-			results[0] = BatchResult{Method: MethodFast, Err: c.Move(op.Rect, op.Rect2, op.Ref)}
-		case wire.MsgKNN:
-			x, y := op.Rect.Center()
-			nbrs, m, err := c.Nearest(int(op.Ref), x, y)
-			results[0] = BatchResult{Method: m, Items: itemsOfNeighbors(nbrs), Err: err}
-		default:
-			items, m, err := c.Search(op.Rect)
-			results[0] = BatchResult{Method: m, Items: items, Err: err}
-		}
+		results[0] = exec.One[struct{}](shardConn{Client: c}, struct{}{}, ops[0])
 		return results
 	}
 

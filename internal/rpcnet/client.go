@@ -21,43 +21,26 @@ import (
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
-// Method mirrors the simulation client's search methods.
-type Method int
+// Method identifies how a search was executed.
+type Method = wire.Method
 
 // Search methods.
 const (
-	MethodFast Method = iota + 1
-	MethodOffload
+	MethodFast    = wire.MethodFast
+	MethodOffload = wire.MethodOffload
 	// MethodFetch is RFP-style remote result fetching: the server executes
 	// the search into a mailbox slot and the client pulls the slot with
 	// READ_MAILBOX requests (DESIGN.md §5.10).
-	MethodFetch
+	MethodFetch = wire.MethodFetch
 )
-
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case MethodOffload:
-		return "offload"
-	case MethodFetch:
-		return "fetch"
-	default:
-		return "fast"
-	}
-}
 
 // Errors.
 var (
-	ErrClosed   = errors.New("rpcnet: connection closed")
-	ErrServer   = errors.New("rpcnet: server reported an error")
-	ErrNotFound = errors.New("rpcnet: entry not found")
-	ErrGaveUp   = errors.New("rpcnet: traversal exceeded retry budget")
-	// ErrOverloaded surfaces a typed StatusOverloaded shed: the server's
-	// admission controller refused the operation without executing it.
-	// Distinct from transport errors and from the failover sentinels —
-	// the server is alive, just saturated; retry (ideally elsewhere)
-	// with backoff.
-	ErrOverloaded = errors.New("rpcnet: server overloaded")
+	ErrClosed     = wire.ErrClosed
+	ErrServer     = errors.New("rpcnet: server reported an error")
+	ErrNotFound   = wire.ErrNotFound
+	ErrGaveUp     = errors.New("rpcnet: traversal exceeded retry budget")
+	ErrOverloaded = wire.ErrOverloaded
 )
 
 // ClientConfig tunes the real-network client.

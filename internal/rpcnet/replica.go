@@ -32,7 +32,6 @@ package rpcnet
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"time"
 
@@ -292,12 +291,6 @@ type splitState struct {
 // reshardBatch is the entry-stream granularity of PrepareReshard.
 const reshardBatch = 128
 
-// everything covers the whole plane for snapshot scans.
-var everything = geo.Rect{
-	MinX: math.Inf(-1), MinY: math.Inf(-1),
-	MaxX: math.Inf(1), MaxY: math.Inf(1),
-}
-
 // PrepareReshard splits this shard's cell in two and streams the entries
 // the new cell owns to the server at newAddr, all under one exclusive latch
 // hold so no concurrent write can slip between the snapshot and the
@@ -327,7 +320,7 @@ func (s *Server) PrepareReshard(newAddr string) (*shard.Map, error) {
 	s.latch.mu.Lock()
 	defer s.latch.mu.Unlock()
 	var entries []rtree.Entry
-	if _, err := s.tree.SearchShared(everything, func(r geo.Rect, ref uint64) bool {
+	if _, err := s.tree.SearchShared(geo.Plane(), func(r geo.Rect, ref uint64) bool {
 		entries = append(entries, rtree.Entry{Rect: r, Ref: ref})
 		return true
 	}); err != nil {
@@ -430,7 +423,7 @@ func (s *Server) DrainSplit() error {
 	}
 	s.latch.mu.Lock()
 	var doomed []rtree.Entry
-	_, err := s.tree.SearchShared(everything, func(r geo.Rect, ref uint64) bool {
+	_, err := s.tree.SearchShared(geo.Plane(), func(r geo.Rect, ref uint64) bool {
 		if sp.m.Owner(r) == sp.newIdx {
 			doomed = append(doomed, rtree.Entry{Rect: r, Ref: ref})
 		}

@@ -350,3 +350,23 @@ func TestRouterSingleUnsharded(t *testing.T) {
 		t.Fatal("unsharded server served a shard map")
 	}
 }
+
+func TestRouterStatsCountMovesAndKNNs(t *testing.T) {
+	addrs, _, _, data := startShardedDeploy(t, 2000, 2, 0)
+	conn, err := Connect(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := conn.(*Router)
+	e := data[0]
+	if err := r.Move(e.Rect, geo.PointRect(0.5, 0.5), e.Ref); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Nearest(3, 0.5, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Moves != 1 || st.KNNs != 1 {
+		t.Fatalf("Stats() = %+v, want Moves=1 KNNs=1", st)
+	}
+}

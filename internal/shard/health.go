@@ -40,6 +40,14 @@ func NewHealth(k int, interval time.Duration, multiple int, now time.Duration) *
 	return h
 }
 
+// Window returns the liveness window (0 when tracking is disabled).
+func (h *Health) Window() time.Duration {
+	if h == nil {
+		return 0
+	}
+	return h.window
+}
+
 // Observe records a heartbeat arrival from shard i at time now.
 func (h *Health) Observe(i int, now time.Duration) {
 	if h == nil {

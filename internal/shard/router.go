@@ -2,15 +2,11 @@ package shard
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"github.com/catfish-db/catfish/internal/client"
-	"github.com/catfish-db/catfish/internal/geo"
-	"github.com/catfish-db/catfish/internal/replica"
+	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/sim"
-	"github.com/catfish-db/catfish/internal/telemetry"
-	"github.com/catfish-db/catfish/internal/wire"
 )
 
 // RouterConfig parametrizes a simulated-fabric Router.
@@ -66,36 +62,56 @@ type RouterStats struct {
 	MapAdoptions uint64
 }
 
-// Router scatters searches across the shards whose coverage intersects the
-// query, gathers and merges the partial result sets, and routes each write
-// to its unique owning shard. Sub-searches of one query run as parallel
-// simulation processes, mirroring the goroutine fan-out of the real-socket
-// router. A router serves one driving process; per-search scatter
-// concurrency is internal.
+// Router is the simulated fabric's binding of the routing Core, whose
+// methods it serves: the driving process is the execution context,
+// sub-operations of one request run as parallel simulation processes
+// (mirroring the goroutine fan-out of the real-socket router), and shard
+// liveness comes from a monitor process polling each serving client's
+// heartbeat sequence. A router serves one driving process.
 type Router struct {
-	m       *Map
-	clients []*client.Client
+	*Core[*sim.Proc, simReplica]
 	health  *Health
 	lastSeq []uint64 // per-shard heartbeat sequence last observed
-	stats   RouterStats
+}
 
-	// Failover state (inert when no shard has backups): per-shard candidate
-	// clients in preference order ([primary, backups...]), the index of the
-	// currently serving replica, and the epoch this router last promoted the
-	// shard to — the fencing token carried by MsgPromote.
-	cands  [][]*client.Client
-	active []int
-	epochs []uint64
+// simReplica binds a simulated client to the core. The simulator elects in
+// preference order: every replica counts as live and equally caught up, so
+// promotion tries the candidates in order, a dead one answering
+// StatusUnavailable.
+type simReplica struct{ *client.Client }
 
-	// Reused scatter/batch scratch (single driving proc, so no locking).
-	targets  []int
-	subOps   [][]client.BatchOp
-	subIdx   [][]int // original op index per sub-op
-	subRes   [][]client.BatchResult
-	gatherI  [][]wire.Item
-	gatherM  []client.Method
-	gatherE  []error
-	gatherTg []int
+func (simReplica) Alive() bool                           { return true }
+func (simReplica) ReplicaState() (epoch, applied uint64) { return 0, 0 }
+
+// simRuntime runs the core on virtual time.
+type simRuntime struct{ r *Router }
+
+func (simRuntime) Now(p *sim.Proc) time.Duration            { return p.Now() }
+func (simRuntime) Sleep(p *sim.Proc, d time.Duration)       { p.Sleep(d) }
+func (rt simRuntime) Healthy(s int, now time.Duration) bool { return rt.r.health.Healthy(s, now) }
+
+// Fork spawns one process per slot past the first and waits on a
+// simulated wait group.
+func (simRuntime) Fork(p *sim.Proc, n int, fn func(*sim.Proc, int)) {
+	wg := sim.NewWaitGroup(p.Engine())
+	wg.Add(n - 1)
+	for slot := 1; slot < n; slot++ {
+		p.Spawn("shard-scatter", func(sp *sim.Proc) {
+			fn(sp, slot)
+			wg.Done()
+		})
+	}
+	fn(p, 0)
+	wg.Wait(p)
+}
+
+// Promoted restarts the monitor's view of shard s at the promoted client's
+// current heartbeat sequence.
+func (rt simRuntime) Promoted(s int, now time.Duration) {
+	if rt.r.health != nil {
+		rt.r.lastSeq[s] = rt.r.Serving(s).HeartbeatSeq()
+		rt.r.health.Observe(s, now)
+	}
 }
 
 // NewRouter builds a router over one connected client per shard and starts
@@ -108,26 +124,25 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if err := cfg.Map.Validate(); err != nil {
 		return nil, err
 	}
-	if len(cfg.Clients) != cfg.Map.K() {
-		return nil, fmt.Errorf("shard: %d clients for %d shards", len(cfg.Clients), cfg.Map.K())
+	k := cfg.Map.K()
+	if len(cfg.Clients) != k {
+		return nil, fmt.Errorf("shard: %d clients for %d shards", len(cfg.Clients), k)
 	}
-	r := &Router{
-		m:       cfg.Map,
-		clients: cfg.Clients,
-		lastSeq: make([]uint64, cfg.Map.K()),
-		cands:   make([][]*client.Client, cfg.Map.K()),
-		active:  make([]int, cfg.Map.K()),
-		epochs:  make([]uint64, cfg.Map.K()),
-	}
-	for s := range r.cands {
-		r.cands[s] = append(r.cands[s], cfg.Clients[s])
+	cands := make([][]simReplica, k)
+	epochs := make([]uint64, k)
+	for s := range cands {
+		cands[s] = append(cands[s], simReplica{cfg.Clients[s]})
 		if s < len(cfg.Backups) {
-			r.cands[s] = append(r.cands[s], cfg.Backups[s]...)
+			for _, b := range cfg.Backups[s] {
+				cands[s] = append(cands[s], simReplica{b})
+			}
 		}
-		r.epochs[s] = 1
+		epochs[s] = 1
 	}
+	r := &Router{lastSeq: make([]uint64, k)}
+	r.Core = NewCore[*sim.Proc, simReplica](simRuntime{r}, cfg.Map, cands, epochs, 0)
 	if cfg.HeartbeatInterval > 0 {
-		r.health = NewHealth(cfg.Map.K(), cfg.HeartbeatInterval, cfg.HealthMultiple, cfg.Engine.Now())
+		r.health = NewHealth(k, cfg.HeartbeatInterval, cfg.HealthMultiple, cfg.Engine.Now())
 		cfg.Engine.Spawn("shard-hb-monitor", r.monitor(cfg.HeartbeatInterval))
 	}
 	return r, nil
@@ -140,8 +155,8 @@ func (r *Router) monitor(interval time.Duration) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
 		for {
 			p.Sleep(interval)
-			for i := range r.cands {
-				if seq := r.shardClient(i).HeartbeatSeq(); seq != r.lastSeq[i] {
+			for i := range r.lastSeq {
+				if seq := r.Serving(i).HeartbeatSeq(); seq != r.lastSeq[i] {
 					r.lastSeq[i] = seq
 					r.health.Observe(i, p.Now())
 				}
@@ -150,225 +165,14 @@ func (r *Router) monitor(interval time.Duration) func(p *sim.Proc) {
 	}
 }
 
-// shardClient returns the client serving shard s — the primary until a
-// failover swaps in a promoted backup.
-func (r *Router) shardClient(s int) *client.Client {
-	return r.cands[s][r.active[s]]
-}
-
-// failover promotes the best remaining candidate of shard s to a bumped
-// epoch and makes it the serving replica. Candidates are tried in
-// preference order; a dead one answers StatusUnavailable and is skipped.
-// Reports whether a promotion succeeded.
-func (r *Router) failover(p *sim.Proc, s int) bool {
-	if len(r.cands[s]) <= 1 {
-		return false
-	}
-	epoch := r.epochs[s] + 1
-	for idx, c := range r.cands[s] {
-		if err := c.Promote(p, epoch); err != nil {
-			continue
-		}
-		r.epochs[s] = epoch
-		r.active[s] = idx
-		if r.health != nil {
-			// The promoted replica gets a fresh liveness window; its own
-			// heartbeats take over from here.
-			r.lastSeq[s] = c.HeartbeatSeq()
-			r.health.Observe(s, p.Now())
-		}
-		atomic.AddUint64(&r.stats.Promotions, 1)
-		return true
-	}
-	return false
-}
-
 // Healthy reports shard i's current liveness.
 func (r *Router) Healthy(i int, now time.Duration) bool {
 	return r.health.Healthy(i, now)
 }
 
-// Stats returns a snapshot of the router's counters.
-func (r *Router) Stats() RouterStats {
-	return RouterStats{
-		Searches:        atomic.LoadUint64(&r.stats.Searches),
-		Writes:          atomic.LoadUint64(&r.stats.Writes),
-		Moves:           atomic.LoadUint64(&r.stats.Moves),
-		KNNs:            atomic.LoadUint64(&r.stats.KNNs),
-		Fanout:          atomic.LoadUint64(&r.stats.Fanout),
-		Skipped:         atomic.LoadUint64(&r.stats.Skipped),
-		UnhealthyWrites: atomic.LoadUint64(&r.stats.UnhealthyWrites),
-		Promotions:      atomic.LoadUint64(&r.stats.Promotions),
-		BackupReads:     atomic.LoadUint64(&r.stats.BackupReads),
-	}
-}
-
-// Snapshot aggregates every per-shard client's counters into one unified
-// snapshot.
-func (r *Router) Snapshot() telemetry.ClientSnapshot {
-	var agg telemetry.ClientSnapshot
-	for _, cs := range r.cands {
-		for _, c := range cs {
-			agg = agg.Add(c.Stats())
-		}
-	}
-	return agg
-}
-
-// healthyTargets computes the scatter set for q, dropping unhealthy shards.
-// The second result is false when every target was unhealthy.
-func (r *Router) healthyTargets(q geo.Rect, now time.Duration) ([]int, bool) {
-	r.targets = r.m.Targets(q, r.targets)
-	if r.health == nil {
-		return r.targets, true
-	}
-	healthy := r.targets[:0]
-	for _, t := range r.targets {
-		// A replicated shard stays in the scatter set even when its active
-		// server looks dead: searchShard falls back to a backup replica.
-		if len(r.cands[t]) > 1 || r.health.Healthy(t, now) {
-			healthy = append(healthy, t)
-		}
-	}
-	r.targets = healthy
-	return r.targets, len(healthy) > 0
-}
-
-// searchShard runs one sub-search on shard s. When the active server
-// refuses service (killed, fenced, demoted) the search retries on the
-// shard's other replicas — backups answer reads without promotion, so read
-// availability outlives a dying primary.
-func (r *Router) searchShard(p *sim.Proc, s int, q geo.Rect) ([]wire.Item, client.Method, error) {
-	items, m, err := r.shardClient(s).Search(p, q)
-	if err == nil || !replica.Failover(err) {
-		return items, m, err
-	}
-	for idx, c := range r.cands[s] {
-		if idx == r.active[s] {
-			continue
-		}
-		bItems, bm, berr := c.Search(p, q)
-		if berr == nil {
-			atomic.AddUint64(&r.stats.BackupReads, 1)
-			return bItems, bm, nil
-		}
-		if !replica.Failover(berr) {
-			return bItems, bm, berr
-		}
-	}
-	return nil, m, err
-}
-
-// Search scatters q to every healthy shard whose coverage intersects it and
-// merges the partial result sets in shard order. When every target shard is
-// unhealthy the search returns an empty set (the router cannot answer it,
-// but read availability degrades gracefully rather than blocking). The
-// returned method is the first target's; per-shard methods are visible in
-// the shard clients' Stats.
-func (r *Router) Search(p *sim.Proc, q geo.Rect) ([]wire.Item, client.Method, error) {
-	atomic.AddUint64(&r.stats.Searches, 1)
-	targets, ok := r.healthyTargets(q, p.Now())
-	if !ok {
-		atomic.AddUint64(&r.stats.Skipped, 1)
-		return nil, client.MethodFast, nil
-	}
-	atomic.AddUint64(&r.stats.Fanout, uint64(len(targets)))
-	if len(targets) == 1 {
-		return r.searchShard(p, targets[0], q)
-	}
-	// Parallel scatter: the driving process takes the first target, one
-	// spawned process per remaining target, a wait group as the gather
-	// barrier.
-	n := len(targets)
-	r.gatherI = resize(r.gatherI, n)
-	r.gatherM = resize(r.gatherM, n)
-	r.gatherE = resize(r.gatherE, n)
-	r.gatherTg = append(r.gatherTg[:0], targets...)
-	wg := sim.NewWaitGroup(p.Engine())
-	wg.Add(n - 1)
-	for slot := 1; slot < n; slot++ {
-		slot := slot
-		shard := r.gatherTg[slot]
-		p.Spawn("shard-scatter", func(sp *sim.Proc) {
-			r.gatherI[slot], r.gatherM[slot], r.gatherE[slot] = r.searchShard(sp, shard, q)
-			wg.Done()
-		})
-	}
-	r.gatherI[0], r.gatherM[0], r.gatherE[0] = r.searchShard(p, r.gatherTg[0], q)
-	wg.Wait(p)
-	var items []wire.Item
-	for slot := 0; slot < n; slot++ {
-		if err := r.gatherE[slot]; err != nil {
-			return nil, r.gatherM[slot], fmt.Errorf("shard %d: %w", r.gatherTg[slot], err)
-		}
-		items = append(items, r.gatherI[slot]...)
-	}
-	return items, r.gatherM[0], nil
-}
-
-// Insert routes the insert to the owning shard, failing with
-// UnhealthyError when that shard has stopped heartbeating and no backup
-// could be promoted in its place.
-func (r *Router) Insert(p *sim.Proc, rect geo.Rect, ref uint64) error {
-	owner, err := r.writeTarget(p, rect)
-	if err != nil {
-		return err
-	}
-	return r.writeShard(p, owner, func(c *client.Client) error {
-		return c.Insert(p, rect, ref)
-	})
-}
-
-// Delete routes the delete to the owning shard, failing with
-// UnhealthyError when that shard has stopped heartbeating and no backup
-// could be promoted in its place.
-func (r *Router) Delete(p *sim.Proc, rect geo.Rect, ref uint64) error {
-	owner, err := r.writeTarget(p, rect)
-	if err != nil {
-		return err
-	}
-	return r.writeShard(p, owner, func(c *client.Client) error {
-		return c.Delete(p, rect, ref)
-	})
-}
-
-// writeShard runs op against shard s's active replica, promoting a backup
-// and retrying when the server refuses service. Attempts are bounded by
-// the candidate count so a fully dead shard terminates with the unified
-// UnhealthyError rather than looping.
-func (r *Router) writeShard(p *sim.Proc, s int, op func(*client.Client) error) error {
-	for attempt := 0; ; attempt++ {
-		err := op(r.shardClient(s))
-		if err == nil || !replica.Failover(err) {
-			return err
-		}
-		if attempt >= len(r.cands[s]) || !r.failover(p, s) {
-			atomic.AddUint64(&r.stats.UnhealthyWrites, 1)
-			return &UnhealthyError{Shard: s}
-		}
-	}
-}
-
-func (r *Router) writeTarget(p *sim.Proc, rect geo.Rect) (int, error) {
-	atomic.AddUint64(&r.stats.Writes, 1)
-	owner := r.m.Owner(rect)
-	if r.health != nil && !r.health.Healthy(owner, p.Now()) {
-		// A lapsed liveness window is the failover trigger: promote the
-		// best backup and write there. Without backups the write fails
-		// with the unified unhealthy error.
-		if !r.failover(p, owner) {
-			atomic.AddUint64(&r.stats.UnhealthyWrites, 1)
-			return 0, &UnhealthyError{Shard: owner}
-		}
-	}
-	return owner, nil
-}
-
-func resize[T any](s []T, n int) []T {
-	var zero T
-	s = s[:0]
-	for i := 0; i < n; i++ {
-		s = append(s, zero)
-	}
-	return s
+// Nearest answers a k-nearest-neighbor query with the best-first
+// cross-shard gather (Core.Nearest); the simulated API drops the method.
+func (r *Router) Nearest(p *sim.Proc, k int, x, y float64) ([]rtree.Neighbor, error) {
+	nbrs, _, err := r.Core.Nearest(p, k, x, y)
+	return nbrs, err
 }

@@ -67,12 +67,6 @@ type Map struct {
 // its claimed version (or routers/servers disagreeing on the map version).
 var ErrVersionMismatch = errors.New("shard: map version mismatch")
 
-// everything is the root cell: the entire plane.
-func everything() geo.Rect {
-	inf := math.Inf(1)
-	return geo.Rect{MinX: -inf, MaxX: inf, MinY: -inf, MaxY: inf}
-}
-
 // Build partitions entries into cfg.K shard cells by recursive longest-axis
 // splits: each step splits the current subset's minimum bounding rectangle
 // along its longer axis at a count-proportional median, so shards own
@@ -95,7 +89,7 @@ func Build(entries []rtree.Entry, cfg Config) (*Map, error) {
 		}
 	}
 	m := &Map{PadX: padX, PadY: padY, Cells: make([]geo.Rect, 0, cfg.K)}
-	m.split(everything(), pts, cfg.K)
+	m.split(geo.Plane(), pts, cfg.K)
 	m.finish()
 	return m, nil
 }
@@ -103,7 +97,7 @@ func Build(entries []rtree.Entry, cfg Config) (*Map, error) {
 // Single returns the trivial one-shard map (the whole plane, no pads
 // needed: with one shard nothing can be missed).
 func Single() *Map {
-	m := &Map{Cells: []geo.Rect{everything()}}
+	m := &Map{Cells: []geo.Rect{geo.Plane()}}
 	m.finish()
 	return m
 }
